@@ -14,8 +14,8 @@
 //!
 //! The comparison that matters for the persistent-worker design: at
 //! every shard count, `"mode": "persistent"` (long-lived channel-fed
-//! workers) must not lose to `"mode": "scoped"` (threads spawned per
-//! batch) — the JSON records both so the regression is visible.
+//! workers) must not lose to `"mode": "scoped"` (the single-threaded
+//! reference) — the JSON records both so the regression is visible.
 //!
 //! Since the slab-backed stream tables (PR 5) the JSON also carries a
 //! `churn` section — eviction-heavy ingest throughput, per-event
@@ -164,7 +164,6 @@ fn config_with(shards: usize) -> EngineConfig {
     EngineConfig {
         // Threshold 0: measure the true parallel path even for the
         // warm-up batch.
-        parallel_threshold: 0,
         ..EngineConfig::with_shards(shards)
     }
 }
@@ -334,7 +333,6 @@ fn churn_dpd() -> DpdConfig {
 fn measure_evict_lru_ns(resident: usize, victims: usize, rounds: usize) -> f64 {
     let cfg = EngineConfig {
         dpd: churn_dpd(),
-        parallel_threshold: usize::MAX,
         ..config_with(1)
     };
     let mut engine = Engine::new(cfg);
@@ -383,7 +381,6 @@ fn measure_federated(members: usize, batch: &[Observation], tb: usize) -> f64 {
     let fed = FederatedEngine::new(FederationConfig {
         members,
         member: EngineConfig {
-            parallel_threshold: 0,
             ..EngineConfig::with_shards(FED_SHARDS)
         },
         adaptive: None,
@@ -431,7 +428,6 @@ fn measure_rebalance(rebalance: bool, batch: &[Observation], tb: usize) -> f64 {
     let fed = FederatedEngine::new(FederationConfig {
         members: REBALANCE_MEMBERS,
         member: EngineConfig {
-            parallel_threshold: 0,
             ..EngineConfig::with_shards(FED_SHARDS)
         },
         adaptive: None,

@@ -1,13 +1,13 @@
 //! The synchronous sharded engine: rank-hash partitioning, batched
-//! ingest across scoped worker threads, and batched prediction serving.
+//! ingest and batched prediction serving, all on the calling thread.
 //!
 //! This is the *scoped* execution mode: shards live inside the [`Engine`]
-//! value and worker threads are spawned per batch (and joined before
-//! `observe_batch` returns). It is the sequential building block and
-//! reference semantics for the default serving mode, the
-//! [`PersistentEngine`](crate::persistent::PersistentEngine), whose
-//! long-lived shard workers are fed over channels and proven
-//! bit-identical to this engine in `tests/persistence.rs`.
+//! value and every call runs to completion on the caller's thread. It
+//! is the single-threaded reference semantics for the default serving
+//! mode, the [`PersistentEngine`](crate::persistent::PersistentEngine),
+//! the only parallel mode, whose long-lived shard workers are fed over
+//! channels and proven bit-identical to this engine in
+//! `tests/persistence.rs`.
 //!
 //! ## Sharding
 //!
@@ -17,18 +17,19 @@
 //! ranks — and co-resident jobs — spread across shards instead of
 //! clustering. Because predictors are per-stream and a stream never
 //! leaves its shard, any shard count produces bit-identical predictions
-//! — parallelism changes wall-clock only, never results
 //! (property-tested in `tests/equivalence.rs`).
 //!
 //! ## Hot path
 //!
-//! [`Engine::observe_batch`] partitions the batch into per-shard index
-//! lists held in preallocated scratch buffers (cleared, never shrunk),
-//! then drives each non-empty shard on its own scoped worker thread
-//! (sequentially when only one shard has work or the batch is below the
-//! spawn threshold). No event is boxed or cloned beyond the `Copy` of
-//! the 24-byte [`Observation`]; per-stream state reuses the fixed
-//! [`mpp_core::Ring`] buffers inside each predictor.
+//! [`Engine::observe_batch`] stamps the batch by the one stamp rule both
+//! modes share (`Stamper`), partitions it into per-shard legs of
+//! `(event, stamp)` pairs held in preallocated scratch (cleared, never
+//! shrunk), and feeds each non-empty leg through the shard's one ingest
+//! loop — the same loop the persistent workers drain their legs with.
+//! A single-shard engine skips the partition. No event is boxed or
+//! cloned beyond the `Copy` of the 24-byte [`Observation`]; per-stream
+//! state reuses the fixed [`mpp_core::Ring`] buffers inside each
+//! predictor.
 //!
 //! ## Time domains and eviction
 //!
@@ -50,8 +51,8 @@ use crate::metrics::{EngineMetrics, JobMetrics, ModelStats, ShardMetrics};
 use crate::oplog::DurabilityConfig;
 use crate::shard::Shard;
 use crate::snapshot::{
-    decode_engine, decode_job, encode_engine, encode_job, EngineSnapshot, JobSnapshot,
-    SnapshotError, StreamState,
+    decode_engine_for, decode_job_for, encode_engine_for, encode_job_slices, ClockFold,
+    SnapshotError,
 };
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use fxhash::FxHashMap;
@@ -222,11 +223,6 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Detector configuration applied to every stream predictor.
     pub dpd: DpdConfig,
-    /// Scoped mode only: batches smaller than this are processed inline
-    /// even with multiple shards (scoped-thread spawn costs (~10 µs)
-    /// would dominate tiny batches). Persistent workers have no spawn
-    /// cost, so this knob does not apply there.
-    pub parallel_threshold: usize,
     /// Idle-stream TTL in events of the owning job's time: a stream not
     /// observed for more than this many of *its own job's* events is
     /// evicted (predicts `None`, restarts cold, memory reclaimed by
@@ -262,7 +258,6 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 1,
             dpd: DpdConfig::default(),
-            parallel_threshold: 1024,
             ttl: None,
             observe_queue_cap: None,
             backpressure: BackpressurePolicy::Block,
@@ -353,14 +348,74 @@ pub(crate) fn shard_of_key(key: StreamKey, shards: usize) -> usize {
     shard_of(key.job, key.rank, shards)
 }
 
-/// Multi-stream prediction engine, scoped-thread mode. See the
-/// [module docs](self).
+/// One shard's slice of a batch: events with their stamps, in batch
+/// order. The scoped engine partitions into reused legs; the persistent
+/// client ships them to its shard workers.
+pub(crate) type Leg = Vec<(Observation, u64)>;
+
+/// The stamp rule of both execution modes, with its scratch reused
+/// across batches. Stamps order LRU eviction and, under a TTL, measure
+/// each stream's age, so the scoped engine and the persistent client
+/// must assign identical ones to the same event sequence.
+#[derive(Debug, Default)]
+pub(crate) struct Stamper {
+    /// `(job, next stamp)` per job of the current batch. Batches touch
+    /// a handful of jobs, so a linear scan beats hashing here.
+    cursors: Vec<(JobId, u64)>,
+    /// The current batch's stamp column, parallel to the batch.
+    stamps: Vec<u64>,
+}
+
+impl Stamper {
+    /// Stamps every event of `batch`, returning the column. Without a
+    /// TTL (`per_job` false) event `i` gets global engine time
+    /// `base + i + 1`. With one, each job reserves one contiguous range
+    /// of its own clock — `reserve(job, n)` advances the job's clock by
+    /// `n` and returns its previous value — and its events take
+    /// consecutive stamps from that range in batch order.
+    pub(crate) fn stamp(
+        &mut self,
+        batch: &[Observation],
+        base: u64,
+        per_job: bool,
+        mut reserve: impl FnMut(JobId, u64) -> u64,
+    ) -> &[u64] {
+        self.stamps.clear();
+        if !per_job {
+            self.stamps.extend(base + 1..=base + batch.len() as u64);
+            return &self.stamps;
+        }
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        for obs in batch {
+            match cursors.iter_mut().find(|(j, _)| *j == obs.key.job) {
+                Some((_, n)) => *n += 1,
+                None => cursors.push((obs.key.job, 1)),
+            }
+        }
+        for (job, n) in cursors.iter_mut() {
+            *n = reserve(*job, *n) + 1; // repurposed: next stamp to assign
+        }
+        for obs in batch {
+            let (_, next) = cursors
+                .iter_mut()
+                .find(|(j, _)| *j == obs.key.job)
+                .expect("job counted in the first pass");
+            self.stamps.push(*next);
+            *next += 1;
+        }
+        &self.stamps
+    }
+}
+
+/// Multi-stream prediction engine, single-threaded reference mode. See
+/// the [module docs](self).
 #[derive(Debug)]
 pub struct Engine {
     cfg: EngineConfig,
     shards: Vec<Shard>,
-    /// Per-shard event-index scratch, reused across batches.
-    scratch: Vec<Vec<u32>>,
+    /// Per-shard legs of the current batch, reused across batches.
+    legs: Vec<Leg>,
     /// Engine time: number of events ingested so far. Without a TTL,
     /// events are stamped `1..=clock`; with one, stamps come from
     /// `job_clocks` and this only totals ingest (sweep throttling,
@@ -369,9 +424,7 @@ pub struct Engine {
     /// Per-job clocks (events ingested per job) — the stamp source and
     /// query-time `now` when a TTL is configured; unused otherwise.
     job_clocks: FxHashMap<JobId, u64>,
-    /// Per-event stamp column (parallel to the batch), reused across
-    /// batches on the TTL path.
-    stamp_scratch: Vec<u64>,
+    stamper: Stamper,
 }
 
 impl Engine {
@@ -385,14 +438,14 @@ impl Engine {
                 s
             })
             .collect();
-        let scratch = (0..cfg.shards).map(|_| Vec::new()).collect();
+        let legs = (0..cfg.shards).map(|_| Vec::new()).collect();
         Engine {
             cfg,
             shards,
-            scratch,
+            legs,
             clock: 0,
             job_clocks: FxHashMap::default(),
-            stamp_scratch: Vec::new(),
+            stamper: Stamper::default(),
         }
     }
 
@@ -434,141 +487,60 @@ impl Engine {
         }
     }
 
-    /// Allocates the next stamp for one event of `job`: the job's own
-    /// clock under a TTL, the global clock otherwise. `self.clock` must
-    /// already count the event.
-    #[inline]
-    fn next_stamp(&mut self, job: JobId) -> u64 {
-        if self.cfg.ttl.is_some() {
-            let c = self.job_clocks.entry(job).or_insert(0);
-            *c += 1;
-            *c
-        } else {
-            self.clock
-        }
+    /// Advances engine time past `batch` and fills the stamper's column
+    /// for it by the shared stamp rule (`Stamper::stamp`), drawing
+    /// per-job ranges from this engine's job clocks.
+    fn stamp(&mut self, batch: &[Observation]) {
+        let base = self.clock;
+        self.clock += batch.len() as u64;
+        let job_clocks = &mut self.job_clocks;
+        self.stamper
+            .stamp(batch, base, self.cfg.ttl.is_some(), |job, n| {
+                let c = job_clocks.entry(job).or_insert(0);
+                *c += n;
+                *c - n
+            });
     }
 
     /// Ingests a single observation (convenience path; batch ingest is
     /// the throughput path).
     #[inline]
     pub fn observe(&mut self, key: StreamKey, value: u64) {
-        let s = shard_of_key(key, self.shards.len());
-        self.clock += 1;
+        let obs = Observation::new(key, value);
+        self.stamp(std::slice::from_ref(&obs));
+        let at = self.stamper.stamps[0];
         let now = self.clock;
-        let at = self.next_stamp(key.job);
+        let s = shard_of_key(key, self.shards.len());
         let shard = &mut self.shards[s];
-        shard.observe_at(Observation::new(key, value), at);
+        shard.observe_at(obs, at);
         // Per-event ingest must reclaim too, or TTL'd slots would leak
         // on engines never fed through observe_batch; the throttle
         // keeps this O(1) in the common case.
         shard.maybe_sweep(now);
     }
 
-    /// Fills the per-event stamp column for the TTL path: event `i` of
-    /// `batch` gets the next tick of *its job's* clock, in batch order.
-    /// Runs of one job (the common trace shape) are memoized so the
-    /// steady state pays one hash per job switch, not per event.
-    fn fill_stamps(&mut self, batch: &[Observation]) {
-        self.stamp_scratch.clear();
-        self.stamp_scratch.reserve(batch.len());
-        let mut memo: Option<(JobId, u64)> = None;
-        for obs in batch {
-            let job = obs.key.job;
-            let clock = match memo {
-                Some((j, c)) if j == job => c,
-                _ => {
-                    if let Some((j, c)) = memo {
-                        self.job_clocks.insert(j, c);
-                    }
-                    self.job_clocks.get(&job).copied().unwrap_or(0)
-                }
-            };
-            let next = clock + 1;
-            memo = Some((job, next));
-            self.stamp_scratch.push(next);
-        }
-        if let Some((j, c)) = memo {
-            self.job_clocks.insert(j, c);
-        }
-    }
-
-    /// Ingests `batch` in order. Events of different ranks may be
-    /// processed concurrently (one worker per shard); events of the
-    /// same stream always retain their batch order, so results are
-    /// independent of the shard count and of thread scheduling.
+    /// Ingests `batch` in order on the calling thread. Each shard's
+    /// events keep their batch order, so results are independent of the
+    /// shard count.
     pub fn observe_batch(&mut self, batch: &[Observation]) {
-        assert!(
-            batch.len() <= u32::MAX as usize,
-            "batch exceeds u32 index space"
-        );
-        let base = self.clock;
-        self.clock += batch.len() as u64;
-        // Per-job stamps only exist under a TTL; without one, global
-        // stamps are cheaper (no column write) and expiry never reads
-        // them.
-        let stamped = self.cfg.ttl.is_some();
-        if stamped {
-            self.fill_stamps(batch);
-        }
+        self.stamp(batch);
+        let stamps = &self.stamper.stamps;
         let nshards = self.shards.len();
         if nshards == 1 {
-            if stamped {
-                self.shards[0].observe_all_stamped(batch, &self.stamp_scratch);
-            } else {
-                self.shards[0].observe_all_at(batch, base);
+            self.shards[0].observe_all_stamped(batch, stamps);
+        } else {
+            for leg in &mut self.legs {
+                leg.clear();
             }
-            self.sweep_after_batch();
-            return;
-        }
-        for idxs in &mut self.scratch {
-            idxs.clear();
-        }
-        for (i, obs) in batch.iter().enumerate() {
-            self.scratch[shard_of_key(obs.key, nshards)].push(i as u32);
-        }
-        let busy = self.scratch.iter().filter(|s| !s.is_empty()).count();
-        if busy <= 1 || batch.len() < self.cfg.parallel_threshold {
-            for (shard, idxs) in self.shards.iter_mut().zip(&self.scratch) {
-                if !idxs.is_empty() {
-                    if stamped {
-                        shard.observe_indexed_stamped(batch, idxs, &self.stamp_scratch);
-                    } else {
-                        shard.observe_indexed_at(batch, idxs, base);
-                    }
+            for (obs, &at) in batch.iter().zip(stamps) {
+                self.legs[shard_of_key(obs.key, nshards)].push((*obs, at));
+            }
+            for (shard, leg) in self.shards.iter_mut().zip(&self.legs) {
+                if !leg.is_empty() {
+                    shard.observe_leg(leg);
                 }
             }
-            self.sweep_after_batch();
-            return;
         }
-        // The last busy shard runs on the calling thread: N busy shards
-        // cost N-1 spawns, and the caller works instead of idling.
-        let last_busy = self
-            .scratch
-            .iter()
-            .rposition(|s| !s.is_empty())
-            .expect("busy > 1");
-        let stamps = &self.stamp_scratch;
-        std::thread::scope(|scope| {
-            let mut own: Option<(&mut Shard, &Vec<u32>)> = None;
-            for (i, (shard, idxs)) in self.shards.iter_mut().zip(&self.scratch).enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                if i == last_busy {
-                    own = Some((shard, idxs));
-                } else if stamped {
-                    scope.spawn(move || shard.observe_indexed_stamped(batch, idxs, stamps));
-                } else {
-                    scope.spawn(move || shard.observe_indexed_at(batch, idxs, base));
-                }
-            }
-            let (shard, idxs) = own.expect("last busy shard present");
-            if stamped {
-                shard.observe_indexed_stamped(batch, idxs, stamps);
-            } else {
-                shard.observe_indexed_at(batch, idxs, base);
-            }
-        });
         self.sweep_after_batch();
     }
 
@@ -759,44 +731,24 @@ impl Engine {
     /// format and the exact bit-identity contract). Telemetry and
     /// transport configuration are deliberately excluded.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut job_clocks: Vec<(JobId, u64)> =
-            self.job_clocks.iter().map(|(&j, &c)| (j, c)).collect();
-        job_clocks.sort_unstable_by_key(|&(j, _)| j);
-        encode_engine(&EngineSnapshot {
-            shards: u32::try_from(self.shards.len()).expect("shard count fits u32"),
-            ttl: self.cfg.ttl,
-            dpd: self.cfg.dpd.clone(),
-            ensemble: self.cfg.ensemble.clone(),
-            clock: self.clock,
-            job_clocks,
-            shard_states: self.shards.iter().map(Shard::export_state).collect(),
-        })
+        encode_engine_for(
+            &self.cfg,
+            self.clock,
+            self.job_clocks.iter().map(|(&j, &c)| (j, c)).collect(),
+            self.shards.iter().map(Shard::export_state).collect(),
+        )
     }
 
     /// Rebuilds an engine from a [`Engine::snapshot`] blob. `cfg` must
     /// match the snapshot's shard count, TTL, and DPD parameters
     /// ([`SnapshotError::ConfigMismatch`] otherwise — stream placement
     /// and predictor behaviour hang off them); transport knobs
-    /// (threshold, queue caps, telemetry) are free to differ. The
+    /// (queue caps, telemetry) are free to differ. The
     /// restored engine continues bit-identically to the one snapshot:
     /// every later prediction, metric, and eviction decision matches an
     /// uninterrupted run over the same events.
     pub fn restore(cfg: EngineConfig, bytes: &[u8]) -> Result<Engine, SnapshotError> {
-        let snap = decode_engine(bytes)?;
-        crate::snapshot::check_config(
-            &crate::snapshot::ConfigKey {
-                shards: Some(snap.shards),
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &crate::snapshot::ConfigKey {
-                shards: Some(cfg.shards as u32),
-                ttl: cfg.ttl,
-                dpd: &cfg.dpd,
-                ensemble: &cfg.ensemble,
-            },
-        )?;
+        let snap = decode_engine_for(bytes, &cfg)?;
         let mut eng = Engine::new(cfg);
         eng.clock = snap.clock;
         eng.job_clocks = snap.job_clocks.iter().copied().collect();
@@ -812,32 +764,12 @@ impl Engine {
     /// restore); only TTL and DPD parameters must match. This is the
     /// live-migration payload.
     pub fn snapshot_job(&self, job: JobId) -> Vec<u8> {
-        let mut metrics = JobMetrics::default();
-        let mut models = Vec::new();
-        let mut clock = self.job_now(job);
-        let mut streams = Vec::new();
-        for shard in &self.shards {
-            let (jm, jmodels, wm, ss) = shard.export_job_state(job);
-            if let Some(jm) = jm {
-                metrics.merge(&jm);
-            }
-            models = crate::metrics::merge_model_stats([models, jmodels]);
-            clock = clock.max(wm);
-            streams.extend(ss);
-        }
-        // Deterministic and recency-ordered: every target shard's
-        // domain list receives its subsequence oldest-first.
-        streams.sort_unstable_by_key(|s| (s.last_seen, s.key.rank, s.key.kind.index()));
-        encode_job(&JobSnapshot {
+        encode_job_slices(
             job,
-            ttl: self.cfg.ttl,
-            dpd: self.cfg.dpd.clone(),
-            ensemble: self.cfg.ensemble.clone(),
-            clock,
-            metrics,
-            models,
-            streams,
-        })
+            &self.cfg,
+            self.job_now(job),
+            self.shards.iter().map(|s| s.export_job_state(job)),
+        )
     }
 
     /// Restores a job from an [`Engine::snapshot_job`] blob, replacing
@@ -845,48 +777,25 @@ impl Engine {
     /// id and how many streams were installed. Streams are partitioned
     /// by *this* engine's shard count.
     pub fn restore_job(&mut self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
-        let snap = decode_job(bytes)?;
-        crate::snapshot::check_config(
-            &crate::snapshot::ConfigKey {
-                shards: None,
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &crate::snapshot::ConfigKey {
-                shards: Some(self.shards.len() as u32),
-                ttl: self.cfg.ttl,
-                dpd: &self.cfg.dpd,
-                ensemble: &self.cfg.ensemble,
-            },
-        )?;
-        let job = snap.job;
+        let r = decode_job_for(bytes, &self.cfg)?;
+        let job = r.job;
         for shard in &mut self.shards {
             shard.extract_job(job);
         }
-        let nshards = self.shards.len();
-        let mut legs: Vec<Vec<StreamState>> = vec![Vec::new(); nshards];
-        let mut max_seen = 0u64;
-        for s in &snap.streams {
-            max_seen = max_seen.max(s.last_seen);
-            legs[shard_of(job, s.key.rank, nshards)].push(s.clone());
-        }
-        let installed = snap.streams.len();
-        for (shard, leg) in self.shards.iter_mut().zip(&legs) {
+        for (shard, leg) in self.shards.iter_mut().zip(&r.legs) {
             if !leg.is_empty() {
-                shard.restore_job_streams(job, leg, snap.clock);
+                shard.restore_job_streams(job, leg, r.watermark);
             }
         }
-        self.shards[0].restore_job_history(job, &snap.metrics, &snap.models);
-        if self.cfg.ttl.is_some() {
-            let c = self.job_clocks.entry(job).or_insert(0);
-            *c = (*c).max(snap.clock);
-        } else {
-            // Keep global stamping monotone past the imported recency
-            // stamps so LRU touch stays on its O(1) fast path.
-            self.clock = self.clock.max(max_seen);
+        self.shards[0].restore_job_history(job, &r.metrics, &r.models);
+        match r.fold {
+            ClockFold::Job(c) => {
+                let jc = self.job_clocks.entry(job).or_insert(0);
+                *jc = (*jc).max(c);
+            }
+            ClockFold::Global(c) => self.clock = self.clock.max(c),
         }
-        Ok((job, installed))
+        Ok((job, r.installed()))
     }
 
     /// Tears the engine into its shards (used by the persistent mode to
@@ -929,7 +838,6 @@ mod tests {
             .collect();
         let mut solo = Engine::new(EngineConfig::with_shards(1));
         let mut multi = Engine::new(EngineConfig {
-            parallel_threshold: 0,
             ..EngineConfig::with_shards(8)
         });
         solo.observe_batch(&batch);
@@ -1065,7 +973,6 @@ mod tests {
     #[test]
     fn metrics_aggregate_across_shards() {
         let mut eng = Engine::new(EngineConfig {
-            parallel_threshold: 0,
             ..EngineConfig::with_shards(4)
         });
         let batch = periodic_batch(8, 10, |_| vec![1, 2, 3]);

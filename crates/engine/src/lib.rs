@@ -16,8 +16,8 @@
 //!   through per-thread [`EngineClient`]s (lock-free submission,
 //!   epoch-stamped replies, graceful shutdown on drop).
 //! * [`Engine`] — the scoped mode: shards live in the caller's value
-//!   and worker threads are spawned per batch. It doubles as the
-//!   sequential reference the persistent mode is property-tested
+//!   and every call runs on the caller's thread. It is the
+//!   single-threaded reference the persistent mode is property-tested
 //!   against.
 //!
 //! Three properties are load-bearing and tested:

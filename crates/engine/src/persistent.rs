@@ -1,10 +1,14 @@
 //! Persistent shard workers: the default serving mode.
 //!
-//! The scoped [`Engine`](crate::Engine) spawns worker threads per batch;
-//! fine for replay loops, wrong shape for a serving layer that ingests
-//! forever. This module keeps one **long-lived worker thread per
-//! shard**, each owning its [`Shard`] outright and fed over a
-//! crossbeam channel:
+//! The scoped [`Engine`](crate::Engine) runs every shard on the calling
+//! thread: the single-threaded reference, fine for replay loops, wrong
+//! shape for a serving layer that ingests forever. This module is the
+//! only parallel mode: one **long-lived worker thread per shard**, each
+//! owning its [`Shard`] outright and fed over a crossbeam channel. A
+//! client stamps each batch by the same rule as the scoped engine and
+//! ships every shard a leg of `(event, stamp)` pairs, which the worker
+//! drains through the shard's one ingest loop — so both modes assign
+//! every event the same stamp and order LRU eviction identically:
 //!
 //! ```text
 //!  EngineClient ──sender[0]──▶ worker 0 (owns Shard 0)
@@ -27,8 +31,10 @@
 //! * **Zero-ish allocation.** Batch legs travel in `Vec`s recycled
 //!   back to the submitting client through a return channel, so the
 //!   steady state reuses buffers instead of allocating per batch.
-//! * **Eviction.** With [`EngineConfig::ttl`] set, legs carry per-event
-//!   stamps drawn from **per-job atomic clocks** in a shared registry: a
+//! * **Eviction.** Without a TTL, event `i` of a batch is stamped
+//!   `base + i + 1` from the global clock, exactly as in the scoped
+//!   engine. With [`EngineConfig::ttl`] set, stamps are drawn from
+//!   **per-job atomic clocks** in a shared registry: a
 //!   batch reserves one contiguous stamp range per job it touches (one
 //!   `fetch_add` per job, not per event) and assigns the stamps in batch
 //!   order. Every job therefore ages only under its *own* traffic — a
@@ -92,7 +98,9 @@
 //! including across eviction-and-reload — is property-tested in
 //! `tests/persistence.rs`.
 
-use crate::engine::{shard_of, shard_of_key, BackpressurePolicy, Engine, EngineConfig};
+use crate::engine::{
+    shard_of, shard_of_key, BackpressurePolicy, Engine, EngineConfig, Leg, Stamper,
+};
 use crate::metrics::{
     merge_job_model_rollups, merge_job_rollups, merge_model_stats, EngineMetrics, JobMetrics,
     ModelStats, ShardMetrics,
@@ -100,8 +108,8 @@ use crate::metrics::{
 use crate::oplog::{self, WalWriter};
 use crate::shard::Shard;
 use crate::snapshot::{
-    check_config, decode_engine, decode_job, encode_engine, encode_job, ConfigKey, EngineSnapshot,
-    JobSnapshot, ShardState, SnapshotError, StreamState,
+    decode_engine_for, decode_job_for, encode_engine_for, encode_job_slices, ClockFold, JobSlice,
+    ShardState, SnapshotError, StreamState,
 };
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
@@ -291,46 +299,19 @@ impl LaneStats {
     }
 }
 
-/// Per-buffer retention bound for the client leg pools, in events
-/// (plain legs: 16 B/event, stamped: 24 B/event, so ≤ ~1.5 MiB per
-/// pooled buffer). A recycled buffer grown past this is dropped rather
-/// than pooled; together with the pool-entry cap (`shard_count`
-/// buffers per pool) this bounds a client's steady-state pool memory
-/// no matter how large a burst it once submitted.
+/// Per-buffer retention bound for the client leg pool, in events
+/// (32 B/event, so ≤ 2 MiB per pooled buffer). A recycled buffer grown
+/// past this is dropped rather than pooled; together with the
+/// pool-entry cap (`shard_count` buffers) this bounds a client's
+/// steady-state pool memory no matter how large a burst it once
+/// submitted.
 const POOL_MAX_EVENT_CAP: usize = 1 << 16;
-
-/// An observe leg: either raw events (no TTL: stamps are not needed
-/// per-event) or events stamped with their engine-time index.
-enum Leg {
-    Plain(Vec<Observation>),
-    Stamped(Vec<(Observation, u64)>),
-}
-
-impl Leg {
-    /// Events carried by this leg.
-    fn len(&self) -> usize {
-        match self {
-            Leg::Plain(events) => events.len(),
-            Leg::Stamped(events) => events.len(),
-        }
-    }
-
-    /// Job of the leg's first event — the attribution used for lane
-    /// flight events. Legs are per-shard and may interleave jobs; the
-    /// first event's job is the best single attribution available
-    /// without per-job sub-legs.
-    fn first_job(&self) -> JobId {
-        match self {
-            Leg::Plain(events) => events.first().map_or(DEFAULT_JOB, |o| o.key.job),
-            Leg::Stamped(events) => events.first().map_or(DEFAULT_JOB, |(o, _)| o.key.job),
-        }
-    }
-}
 
 /// One command in a shard worker's queue.
 enum ShardCmd {
     /// Fire-and-forget batch leg. `now` is engine time after the whole
-    /// batch; the emptied buffer is handed back through `recycle`.
+    /// batch (the sweep throttle's clock); the drained buffer is handed
+    /// back through `recycle`.
     /// `sent_at` is set only when telemetry is enabled: the worker turns
     /// it into the leg's `queue_wait_ns` sample on drain (submit→drain,
     /// so a `Block`-mode park on a full lane is included in the wait).
@@ -458,12 +439,7 @@ enum ReplyBody {
     Oldest(Vec<(u64, StreamKey)>),
     Telemetry(Box<TelemetrySnapshot>),
     State(Box<ShardState>),
-    JobSlice {
-        metrics: Option<JobMetrics>,
-        models: Vec<ModelStats>,
-        watermark: u64,
-        streams: Vec<StreamState>,
-    },
+    JobSlice(JobSlice),
 }
 
 /// Engine-level (client-side) telemetry: what the shard workers cannot
@@ -518,8 +494,9 @@ struct WalCounters {
     /// Events replayed from the log tail by the last recovery.
     recovered_events: AtomicU64,
     /// Appends or fsyncs the writer thread lost to filesystem errors
-    /// (each also logged to stderr once) — nonzero means the log has a
-    /// hole and recovery will stop at it.
+    /// (the first also logged to stderr) — nonzero means the log has a
+    /// hole and recovery will stop at it. It only ever grows, so the
+    /// first error is sticky: every later durability barrier fails.
     io_errors: AtomicU64,
     /// Fsync latency, one sample per fsync.
     flush_ns: Histogram,
@@ -678,38 +655,11 @@ fn worker_loop(
                 if let (Some(sent), Some(tel)) = (sent_at, shard.telemetry()) {
                     tel.queue_wait_ns.record(sent.elapsed().as_nanos() as u64);
                 }
-                let ttl = shard.ttl().is_some();
-                let events_in_leg = leg.len();
-                shard.note_batch_depth(events_in_leg as u64);
-                // The per-event drain below bypasses the scoped batch
-                // entry points, so the worker times its own leg.
-                let t0 = shard.telemetry().map(|_| Instant::now());
-                let empty = match leg {
-                    Leg::Plain(mut events) => {
-                        for obs in events.drain(..) {
-                            // Without a TTL per-event stamps are
-                            // unobservable; batch-end granularity keeps
-                            // the LRU order usable for forced eviction.
-                            shard.observe_at(obs, now);
-                        }
-                        Leg::Plain(events)
-                    }
-                    Leg::Stamped(mut events) => {
-                        for (obs, at) in events.drain(..) {
-                            shard.observe_at(obs, at);
-                        }
-                        Leg::Stamped(events)
-                    }
-                };
-                if let (Some(t0), Some(tel)) = (t0, shard.telemetry()) {
-                    tel.note_batch(t0.elapsed().as_nanos() as u64, events_in_leg);
-                }
-                if ttl {
-                    shard.maybe_sweep(now);
-                }
+                shard.observe_leg(&leg);
+                shard.maybe_sweep(now);
                 // The submitting client may already be gone; its buffer
                 // is then simply dropped.
-                let _ = recycle.send(empty);
+                let _ = recycle.send(leg);
             }
             ShardCmd::Query { epoch, reply, body } => {
                 let body = match body {
@@ -757,13 +707,7 @@ fn worker_loop(
                     )),
                     QueryBody::Snapshot => ReplyBody::State(Box::new(shard.export_state())),
                     QueryBody::SnapshotJob { job } => {
-                        let (metrics, models, watermark, streams) = shard.export_job_state(job);
-                        ReplyBody::JobSlice {
-                            metrics,
-                            models,
-                            watermark,
-                            streams,
-                        }
+                        ReplyBody::JobSlice(shard.export_job_state(job))
                     }
                     QueryBody::Restore(st) => {
                         shard.restore_state(&st);
@@ -1051,21 +995,7 @@ impl PersistentEngine {
     /// building block; callers restoring a snapshot unrelated to the
     /// directory's log should point durability at a fresh directory.
     pub fn restore(cfg: EngineConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let snap = decode_engine(bytes)?;
-        check_config(
-            &ConfigKey {
-                shards: Some(snap.shards),
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &ConfigKey {
-                shards: Some(cfg.shards as u32),
-                ttl: cfg.ttl,
-                dpd: &cfg.dpd,
-                ensemble: &cfg.ensemble,
-            },
-        )?;
+        let snap = decode_engine_for(bytes, &cfg)?;
         let eng = Self::try_spawn(cfg).unwrap_or_else(|e| panic!("{e}"));
         eng.inner.clock.store(snap.clock, Ordering::Relaxed);
         {
@@ -1087,8 +1017,10 @@ impl PersistentEngine {
     /// Blocks until every observation-log frame submitted before this
     /// call is written *and fsynced* — a durability barrier over the
     /// fire-and-forget log lane, regardless of the flush policy.
-    /// Returns `false` (trivially satisfied) when the engine has no
-    /// durability configured.
+    /// Returns `true` only when that holds: `false` when the engine has
+    /// no durability configured, and `false` for good once the writer
+    /// has lost any append or fsync (the log then has a hole that no
+    /// later fsync can fill).
     pub fn sync_wal(&self) -> bool {
         let Some(wal) = self.inner.wal.as_ref() else {
             return false;
@@ -1097,7 +1029,9 @@ impl PersistentEngine {
         if wal.tx.send(WalMsg::Sync(ack_tx)).is_err() {
             return false;
         }
-        ack_rx.recv().is_ok()
+        // The writer counts an error before it acks, and the ack
+        // channel orders the two.
+        ack_rx.recv().is_ok() && wal.counters.io_errors.load(Ordering::Relaxed) == 0
     }
 
     /// Rebuilds an engine from its durability directory: restores the
@@ -1215,11 +1149,10 @@ impl PersistentEngine {
             recycle_tx,
             recycle_rx,
             epoch: Cell::new(0),
-            plain_pool: RefCell::new(Vec::new()),
-            stamped_pool: RefCell::new(Vec::new()),
+            pool: RefCell::new(Vec::new()),
             legs_scratch: RefCell::new(Vec::new()),
             job_clock_cache: RefCell::new(FxHashMap::default()),
-            stamp_cursors: RefCell::new(Vec::new()),
+            stamper: RefCell::new(Stamper::default()),
         }
     }
 }
@@ -1235,8 +1168,8 @@ pub struct EngineClient {
     recycle_rx: Receiver<Leg>,
     /// Stamp of the most recent request on this lane.
     epoch: Cell<u64>,
-    plain_pool: RefCell<Vec<Vec<Observation>>>,
-    stamped_pool: RefCell<Vec<Vec<(Observation, u64)>>>,
+    /// Emptied leg buffers, recycled back from the workers.
+    pool: RefCell<Vec<Leg>>,
     /// Per-shard partition scratch reused across `observe_batch` calls
     /// (entries are `take`n when sent, leaving `None`s behind).
     legs_scratch: RefCell<Vec<Option<Leg>>>,
@@ -1244,10 +1177,8 @@ pub struct EngineClient {
     /// ingest hot path allocates stamps without taking the registry
     /// lock (TTL engines only; stays empty otherwise).
     job_clock_cache: RefCell<FxHashMap<JobId, Arc<AtomicU64>>>,
-    /// Per-batch stamping scratch: `(job, cursor)` pairs reused across
-    /// `observe_batch` calls (batches touch a handful of jobs, so a
-    /// linear scan beats hashing here).
-    stamp_cursors: RefCell<Vec<(JobId, u64)>>,
+    /// Stamp-rule scratch reused across `observe_batch` calls.
+    stamper: RefCell<Stamper>,
 }
 
 impl std::fmt::Debug for EngineClient {
@@ -1360,18 +1291,14 @@ impl EngineClient {
         }
     }
 
-    /// Routes a finished leg's buffer back to its pool through the
-    /// [`EngineClient::pool_push`] bounds — the single definition of
-    /// which pool a leg variant belongs to.
-    fn repool(&self, leg: Leg) {
-        let max_buffers = self.inner.senders.len();
-        match leg {
-            Leg::Plain(buf) => Self::pool_push(&self.plain_pool, buf, max_buffers),
-            Leg::Stamped(buf) => Self::pool_push(&self.stamped_pool, buf, max_buffers),
-        }
+    /// Empties a finished (drained or shed) leg and routes its buffer
+    /// back to the pool through the [`EngineClient::pool_push`] bounds.
+    fn repool(&self, mut leg: Leg) {
+        leg.clear();
+        Self::pool_push(&self.pool, leg, self.inner.senders.len());
     }
 
-    /// Returns recycled buffers to the (bounded) pools.
+    /// Returns recycled buffers to the (bounded) pool.
     fn drain_recycled(&self) {
         while let Ok(leg) = self.recycle_rx.try_recv() {
             self.repool(leg);
@@ -1402,7 +1329,9 @@ impl EngineClient {
         let tx = &self.inner.senders[s];
         let lane = &self.inner.lanes[s];
         let events = leg.len() as u64;
-        let job = leg.first_job();
+        // Legs are per-shard and may interleave jobs; the first event's
+        // job is the best single attribution for lane flight events.
+        let job = leg.first().map_or(DEFAULT_JOB, |(o, _)| o.key.job);
         let cmd = ShardCmd::Observe {
             leg,
             now,
@@ -1508,52 +1437,23 @@ impl EngineClient {
             }
         }
         self.drain_recycled();
-        let stamped = self.inner.cfg.ttl.is_some();
-        // Per-job stamp allocation: count each job's events, reserve one
-        // contiguous stamp range per job from its registry clock (a
-        // single `fetch_add` each), then hand the stamps out in batch
-        // order — concurrent clients get disjoint ranges, and a job's
-        // clock only ever advances under its own traffic.
-        let mut cursors = self.stamp_cursors.borrow_mut();
-        cursors.clear();
-        if stamped {
-            for obs in batch {
-                match cursors.iter_mut().find(|(j, _)| *j == obs.key.job) {
-                    Some((_, n)) => *n += 1,
-                    None => cursors.push((obs.key.job, 1)),
-                }
-            }
-            for (job, n) in cursors.iter_mut() {
-                let job_base = self.job_clock(*job).fetch_add(*n, Ordering::Relaxed);
-                *n = job_base + 1; // repurposed: next stamp to assign
-            }
-        }
+        let mut stamper = self.stamper.borrow_mut();
+        let stamps = stamper.stamp(batch, base, self.inner.cfg.ttl.is_some(), |job, n| {
+            self.job_clock(job).fetch_add(n, Ordering::Relaxed)
+        });
         let mut legs = self.legs_scratch.borrow_mut();
         legs.resize_with(nshards, || None);
-        for obs in batch {
-            let s = shard_of_key(obs.key, nshards);
-            let leg = legs[s].get_or_insert_with(|| {
-                if stamped {
-                    let mut buf = self.stamped_pool.borrow_mut().pop().unwrap_or_default();
-                    buf.clear();
-                    Leg::Stamped(buf)
-                } else {
-                    let mut buf = self.plain_pool.borrow_mut().pop().unwrap_or_default();
-                    buf.clear();
-                    Leg::Plain(buf)
-                }
-            });
-            match leg {
-                Leg::Plain(buf) => buf.push(*obs),
-                Leg::Stamped(buf) => {
-                    let (_, cursor) = cursors
-                        .iter_mut()
-                        .find(|(j, _)| *j == obs.key.job)
-                        .expect("job counted in the stamping pass");
-                    buf.push((*obs, *cursor));
-                    *cursor += 1;
-                }
-            }
+        for (obs, &at) in batch.iter().zip(stamps) {
+            legs[shard_of_key(obs.key, nshards)]
+                .get_or_insert_with(|| {
+                    // Sized for an even share up front: growing a fresh
+                    // leg by doubling strews freed chunks that raise the
+                    // process's peak resident set.
+                    let mut leg = self.pool.borrow_mut().pop().unwrap_or_default();
+                    leg.reserve(batch.len().div_ceil(nshards));
+                    leg
+                })
+                .push((*obs, at));
         }
         let mut err = None;
         for (s, slot) in legs.iter_mut().enumerate() {
@@ -1994,9 +1894,9 @@ impl EngineClient {
     }
 
     /// Forcibly evicts the `n` least-recently-observed streams across
-    /// all shards (globally LRU by last-observed engine time; with a
-    /// TTL unset the order is batch-granular — see the module docs),
-    /// returning how many were removed.
+    /// all shards (globally LRU by last-observed engine time, ties
+    /// broken by key — the scoped engine's order), returning how many
+    /// were removed.
     pub fn evict_lru(&self, n: usize) -> usize {
         let candidates: Vec<(u64, StreamKey)> = self
             .broadcast(|_| QueryBody::LruOldest { n })
@@ -2032,7 +1932,7 @@ impl EngineClient {
                 _ => unreachable!("snapshot reply shape"),
             })
             .collect();
-        let mut job_clocks: Vec<(JobId, u64)> = self
+        let job_clocks = self
             .inner
             .job_clocks
             .read()
@@ -2040,16 +1940,12 @@ impl EngineClient {
             .iter()
             .map(|(&job, clock)| (job, clock.load(Ordering::Relaxed)))
             .collect();
-        job_clocks.sort_unstable_by_key(|&(j, _)| j);
-        encode_engine(&EngineSnapshot {
-            shards: u32::try_from(self.inner.senders.len()).expect("shard count fits u32"),
-            ttl: self.inner.cfg.ttl,
-            dpd: self.inner.cfg.dpd.clone(),
-            ensemble: self.inner.cfg.ensemble.clone(),
-            clock: self.inner.clock.load(Ordering::Relaxed),
+        encode_engine_for(
+            &self.inner.cfg,
+            self.inner.clock.load(Ordering::Relaxed),
             job_clocks,
             shard_states,
-        })
+        )
     }
 
     /// Takes a durable checkpoint: fsyncs the observation log, writes
@@ -2058,7 +1954,10 @@ impl EngineClient {
     /// retires log segments and older snapshots the new anchor makes
     /// redundant (the previous snapshot is kept as a corruption
     /// fallback). Returns the watermark, or `Ok(None)` when the engine
-    /// has no durability configured.
+    /// has no durability configured. Fails without writing a snapshot
+    /// or retiring anything when the log barrier fails
+    /// ([`PersistentEngine::sync_wal`]): a snapshot anchored past a
+    /// hole in the log would let retention delete the frames before it.
     ///
     /// The watermark is read *before* the snapshot cut, so under
     /// concurrent ingest the file name may undercount the state it
@@ -2069,7 +1968,11 @@ impl EngineClient {
         let Some(d) = self.inner.cfg.durability.as_ref() else {
             return Ok(None);
         };
-        self.engine().sync_wal();
+        if !self.engine().sync_wal() {
+            return Err(std::io::Error::other(
+                "observation log lost an append or fsync; refusing to checkpoint",
+            ));
+        }
         let watermark = self.engine_time();
         let bytes = self.snapshot();
         oplog::write_snapshot_file(&d.dir, watermark, &bytes)?;
@@ -2083,39 +1986,15 @@ impl EngineClient {
     /// live-migration payload). Same single-client consistency contract
     /// as [`EngineClient::snapshot`].
     pub fn snapshot_job(&self, job: JobId) -> Vec<u8> {
-        let mut metrics = JobMetrics::default();
-        let mut models: Vec<ModelStats> = Vec::new();
-        let mut clock = self.job_now(job);
-        let mut streams = Vec::new();
-        for b in self.broadcast(|_| QueryBody::SnapshotJob { job }) {
-            match b {
-                ReplyBody::JobSlice {
-                    metrics: jm,
-                    models: ms,
-                    watermark,
-                    streams: ss,
-                } => {
-                    if let Some(jm) = jm {
-                        metrics.merge(&jm);
-                    }
-                    models = merge_model_stats([models, ms]);
-                    clock = clock.max(watermark);
-                    streams.extend(ss);
-                }
+        let now = self.job_now(job);
+        let slices = self
+            .broadcast(|_| QueryBody::SnapshotJob { job })
+            .into_iter()
+            .map(|b| match b {
+                ReplyBody::JobSlice(slice) => slice,
                 _ => unreachable!("snapshot-job reply shape"),
-            }
-        }
-        streams.sort_unstable_by_key(|s| (s.last_seen, s.key.rank, s.key.kind.index()));
-        encode_job(&JobSnapshot {
-            job,
-            ttl: self.inner.cfg.ttl,
-            dpd: self.inner.cfg.dpd.clone(),
-            ensemble: self.inner.cfg.ensemble.clone(),
-            clock,
-            metrics,
-            models,
-            streams,
-        })
+            });
+        encode_job_slices(job, &self.inner.cfg, now, slices)
     }
 
     /// Restores a job from a [`EngineClient::snapshot_job`] /
@@ -2124,50 +2003,25 @@ impl EngineClient {
     /// streams were installed. Streams re-partition by *this* engine's
     /// shard count; only TTL and DPD parameters must match.
     pub fn restore_job(&self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
-        let snap = decode_job(bytes)?;
-        check_config(
-            &ConfigKey {
-                shards: None,
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &ConfigKey {
-                shards: Some(self.inner.senders.len() as u32),
-                ttl: self.inner.cfg.ttl,
-                dpd: &self.inner.cfg.dpd,
-                ensemble: &self.inner.cfg.ensemble,
-            },
-        )?;
-        let job = snap.job;
-        let nshards = self.inner.senders.len();
-        let mut legs: Vec<Vec<StreamState>> = vec![Vec::new(); nshards];
-        let mut max_seen = 0u64;
-        for s in &snap.streams {
-            max_seen = max_seen.max(s.last_seen);
-            legs[shard_of(job, s.key.rank, nshards)].push(s.clone());
-        }
-        let installed = snap.streams.len();
-        let mut legs: Vec<Option<Vec<StreamState>>> = legs.into_iter().map(Some).collect();
+        let r = decode_job_for(bytes, &self.inner.cfg)?;
+        let (job, installed) = (r.job, r.installed());
+        let mut legs: Vec<Option<Vec<StreamState>>> = r.legs.into_iter().map(Some).collect();
         self.broadcast(|s| QueryBody::RestoreJob {
             job,
             streams: legs[s].take().expect("one leg per shard"),
             // The job's historical counters live on exactly one shard
             // (0): replicating them would multiply federation rollups.
-            history: (s == 0).then(|| Box::new(snap.metrics)),
-            models: if s == 0 {
-                snap.models.clone()
-            } else {
-                Vec::new()
-            },
-            watermark: snap.clock,
+            history: (s == 0).then(|| Box::new(r.metrics)),
+            models: if s == 0 { r.models.clone() } else { Vec::new() },
+            watermark: r.watermark,
         });
-        if self.inner.cfg.ttl.is_some() {
-            self.job_clock(job).fetch_max(snap.clock, Ordering::Relaxed);
-        } else {
-            // Keep global stamping monotone past the imported recency
-            // stamps so LRU touch stays on its O(1) fast path.
-            self.inner.clock.fetch_max(max_seen, Ordering::Relaxed);
+        match r.fold {
+            ClockFold::Job(c) => {
+                self.job_clock(job).fetch_max(c, Ordering::Relaxed);
+            }
+            ClockFold::Global(c) => {
+                self.inner.clock.fetch_max(c, Ordering::Relaxed);
+            }
         }
         Ok((job, installed))
     }
@@ -2416,7 +2270,7 @@ mod tests {
         client.observe_batch(&huge);
         client.metrics_total(); // barrier: the leg has been recycled
         client.observe_batch(&[Observation::new(skey(0), 1)]); // drains recycle lane
-        let pooled = client.plain_pool.borrow();
+        let pooled = client.pool.borrow();
         assert!(
             pooled.iter().all(|b| b.capacity() <= POOL_MAX_EVENT_CAP),
             "pool retained an oversized buffer"

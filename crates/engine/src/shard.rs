@@ -19,10 +19,8 @@
 //! Per-stream state lives in a [`StreamTable`]: keys are interned once
 //! into stable slot ids (fxhash-fronted map, contiguous slab, free-list
 //! reuse) and an intrusive last-seen-sorted LRU list is threaded through
-//! the slots. The ingest hot path therefore costs **at most one cheap
-//! hash per event** (zero on runs of the same stream, thanks to
-//! batch-local memoization in [`Shard::observe_indexed_at`] /
-//! [`Shard::observe_all_at`]), TTL sweeps pop expired slots off the
+//! the slots. The ingest hot path therefore costs **one cheap hash per
+//! event**, TTL sweeps pop expired slots off the
 //! list head in O(reclaimed), and LRU victim selection reads a bounded
 //! window instead of sorting the resident set — with victims provably
 //! identical to the old collect-and-sort (see [`select_lru_victims`]
@@ -86,7 +84,7 @@
 
 use crate::engine::EnsembleConfig;
 use crate::metrics::{JobMetrics, ModelStats, ShardMetrics};
-use crate::snapshot::{EnsembleStreamState, MemberState, ShardState, StreamState};
+use crate::snapshot::{EnsembleStreamState, JobSlice, MemberState, ShardState, StreamState};
 use crate::stream_table::{SlotId, StreamTable};
 use crate::telemetry::ShardTelemetry;
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, StreamKind};
@@ -642,105 +640,43 @@ impl Shard {
         self.observe_at(obs, self.clock + 1);
     }
 
-    /// Records a batch-leg size in the `max_batch_depth` high-water
-    /// mark (load-balance signal across shards).
-    #[inline]
-    pub fn note_batch_depth(&mut self, depth: u64) {
-        self.metrics.max_batch_depth = self.metrics.max_batch_depth.max(depth);
-    }
-
-    /// The memoized batch-ingest loop shared by both batch entry
-    /// points. NAS traces repeat the same stream in consecutive events,
-    /// so the loop memoizes the last `(key, slot)` pair and skips even
-    /// the fxhash probe on runs. The memo is sound because no observe
-    /// path frees a slot (lazy TTL resets in place), so a batch-local
-    /// id stays valid for the whole run.
-    fn observe_run(&mut self, events: impl Iterator<Item = (Observation, u64)>) {
-        let mut memo: Option<(StreamKey, SlotId)> = None;
+    /// The one batch-ingest loop: every batch of both execution modes
+    /// reaches the shard through it. Records the leg's size in the
+    /// `max_batch_depth` high-water mark (load-balance signal across
+    /// shards) and, with telemetry on, its wall time.
+    fn observe_run(&mut self, events: impl ExactSizeIterator<Item = (Observation, u64)>) {
+        let n = events.len();
+        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
+        self.metrics.max_batch_depth = self.metrics.max_batch_depth.max(n as u64);
         for (obs, at) in events {
-            self.clock = self.clock.max(at);
-            let id = match memo {
-                Some((key, id)) if key == obs.key => id,
-                _ => {
-                    let id = self.slot_for(obs.key, at);
-                    memo = Some((obs.key, id));
-                    id
-                }
-            };
-            self.observe_slot(id, obs.value, at);
+            self.observe_at(obs, at);
         }
-    }
-
-    /// Ingests the subset of `batch` selected by `indices`, in order,
-    /// stamping element `i` of `batch` with engine time `base + i + 1`.
-    /// This is the per-shard leg of a batched ingest: `indices` is a
-    /// preallocated scratch buffer owned by the engine, so the steady
-    /// state allocates nothing (same-stream runs are memoized — see
-    /// [`Shard::observe_run`]).
-    pub fn observe_indexed_at(&mut self, batch: &[Observation], indices: &[u32], base: u64) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(indices.len() as u64);
-        self.observe_run(
-            indices
-                .iter()
-                .map(|&i| (batch[i as usize], base + u64::from(i) + 1)),
-        );
         if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, indices.len());
+            tel.note_batch(t0.elapsed().as_nanos() as u64, n);
         }
     }
 
-    /// Like [`Shard::observe_indexed_at`], but with explicit per-event
-    /// stamps: `stamps[i]` (parallel to `batch`, not to `indices`)
-    /// stamps `batch[i]`. This is the per-job time-domain ingest path —
-    /// the engine allocates each event's stamp from its job's clock and
-    /// hands the whole column down, so the shard never needs to know
-    /// the clock-allocation policy.
-    pub fn observe_indexed_stamped(
-        &mut self,
-        batch: &[Observation],
-        indices: &[u32],
-        stamps: &[u64],
-    ) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(indices.len() as u64);
-        self.observe_run(
-            indices
-                .iter()
-                .map(|&i| (batch[i as usize], stamps[i as usize])),
-        );
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, indices.len());
-        }
+    /// Ingests one leg of `(event, stamp)` pairs, in order.
+    pub(crate) fn observe_leg(&mut self, leg: &[(Observation, u64)]) {
+        self.observe_run(leg.iter().copied());
     }
 
-    /// Like [`Shard::observe_all_at`], but with explicit per-event
-    /// stamps (`stamps[i]` stamps `batch[i]`) — the single-shard fast
-    /// path of the per-job time-domain ingest.
+    /// Ingests every event of `batch`, in order, with explicit per-event
+    /// stamps (`stamps[i]` stamps `batch[i]`).
     pub fn observe_all_stamped(&mut self, batch: &[Observation], stamps: &[u64]) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(batch.len() as u64);
-        self.observe_run(batch.iter().zip(stamps).map(|(obs, &at)| (*obs, at)));
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, batch.len());
-        }
+        assert_eq!(batch.len(), stamps.len(), "one stamp per event");
+        self.observe_run(batch.iter().copied().zip(stamps.iter().copied()));
     }
 
-    /// Ingests every event of `batch`, in order, stamped from
-    /// `base + 1` (single-shard fast path: no partitioning needed).
-    /// Memoized like [`Shard::observe_indexed_at`].
+    /// Ingests every event of `batch`, in order, stamping element `i`
+    /// with engine time `base + i + 1`.
     pub fn observe_all_at(&mut self, batch: &[Observation], base: u64) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(batch.len() as u64);
         self.observe_run(
             batch
                 .iter()
                 .enumerate()
                 .map(|(i, obs)| (*obs, base + i as u64 + 1)),
         );
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, batch.len());
-        }
     }
 
     /// Serves one query at engine time `now`. Returns `None` for
@@ -1199,13 +1135,8 @@ impl Shard {
         }
     }
 
-    /// Serializes one job's slice of this shard: its rollup and
-    /// per-model counters (if the job ever ingested here), its time
-    /// watermark, and its resident streams in LRU order.
-    pub(crate) fn export_job_state(
-        &self,
-        job: JobId,
-    ) -> (Option<JobMetrics>, Vec<ModelStats>, u64, Vec<StreamState>) {
+    /// Serializes one job's slice of this shard.
+    pub(crate) fn export_job_state(&self, job: JobId) -> JobSlice {
         let metrics = self.job_index.get(&job).map(|&i| self.jobs[i as usize].1);
         let models = self
             .job_index
@@ -1219,7 +1150,12 @@ impl Shard {
                 streams.push(self.export_stream(id));
             }
         }
-        (metrics, models, self.job_now(job), streams)
+        JobSlice {
+            metrics,
+            models,
+            watermark: self.job_now(job),
+            streams,
+        }
     }
 
     /// Removes every trace of `job` from this shard — streams, rollup
@@ -1451,14 +1387,13 @@ mod tests {
     }
 
     #[test]
-    fn observe_indexed_tracks_queue_depth() {
+    fn observe_all_tracks_queue_depth() {
         let mut shard = Shard::new(DpdConfig::default());
         let batch: Vec<Observation> = (0..5).map(|i| Observation::new(key(0), i % 2)).collect();
-        let idx: Vec<u32> = (0..5).collect();
-        shard.observe_indexed_at(&batch, &idx, 0);
+        shard.observe_all_at(&batch, 0);
         assert_eq!(shard.metrics().max_batch_depth, 5);
         assert_eq!(shard.metrics().events_ingested, 5);
-        shard.observe_indexed_at(&batch, &idx[..2], 5);
+        shard.observe_all_at(&batch[..2], 5);
         assert_eq!(
             shard.metrics().max_batch_depth,
             5,

@@ -54,11 +54,10 @@
 //! What a snapshot deliberately excludes: telemetry histograms and
 //! flight rings (observability of a process, not predictive state —
 //! a restored engine starts fresh ones) and transport configuration
-//! (queue caps, backpressure, parallelism thresholds — free to differ
-//! across the cut).
+//! (queue caps and backpressure — free to differ across the cut).
 
-use crate::engine::EnsembleConfig;
-use crate::metrics::{JobMetrics, ModelStats, ShardMetrics};
+use crate::engine::{shard_of, EngineConfig, EnsembleConfig};
+use crate::metrics::{merge_model_stats, JobMetrics, ModelStats, ShardMetrics};
 use crate::types::{JobId, StreamKey, StreamKind};
 use mpp_core::dpd::DpdConfig;
 use mpp_core::{DpdPredictorState, PredictorKind};
@@ -942,6 +941,173 @@ pub(crate) fn check_config(snap: &ConfigKey, cfg: &ConfigKey) -> Result<(), Snap
         ));
     }
     Ok(())
+}
+
+impl<'a> ConfigKey<'a> {
+    /// The live side of a comparison: `cfg`'s predictive-state parts.
+    fn of(cfg: &'a EngineConfig) -> Self {
+        ConfigKey {
+            shards: Some(cfg.shards as u32),
+            ttl: cfg.ttl,
+            dpd: &cfg.dpd,
+            ensemble: &cfg.ensemble,
+        }
+    }
+}
+
+/// Encodes the whole-engine snapshot of an engine running `cfg`.
+pub(crate) fn encode_engine_for(
+    cfg: &EngineConfig,
+    clock: u64,
+    mut job_clocks: Vec<(JobId, u64)>,
+    shard_states: Vec<ShardState>,
+) -> Vec<u8> {
+    job_clocks.sort_unstable_by_key(|&(j, _)| j);
+    encode_engine(&EngineSnapshot {
+        shards: u32::try_from(shard_states.len()).expect("shard count fits u32"),
+        ttl: cfg.ttl,
+        dpd: cfg.dpd.clone(),
+        ensemble: cfg.ensemble.clone(),
+        clock,
+        job_clocks,
+        shard_states,
+    })
+}
+
+/// Decodes a whole-engine snapshot and checks it against `cfg`: shard
+/// count, TTL, DPD and ensemble parameters must match.
+pub(crate) fn decode_engine_for(
+    bytes: &[u8],
+    cfg: &EngineConfig,
+) -> Result<EngineSnapshot, SnapshotError> {
+    let snap = decode_engine(bytes)?;
+    check_config(
+        &ConfigKey {
+            shards: Some(snap.shards),
+            ttl: snap.ttl,
+            dpd: &snap.dpd,
+            ensemble: &snap.ensemble,
+        },
+        &ConfigKey::of(cfg),
+    )?;
+    Ok(snap)
+}
+
+/// One shard's slice of a job: its rollup and per-model counters (if
+/// the job ever ingested there), its time watermark, and its resident
+/// streams in LRU order.
+#[derive(Debug)]
+pub(crate) struct JobSlice {
+    pub(crate) metrics: Option<JobMetrics>,
+    pub(crate) models: Vec<ModelStats>,
+    pub(crate) watermark: u64,
+    pub(crate) streams: Vec<StreamState>,
+}
+
+/// Merges every shard's slice of `job` into the job-scoped snapshot of
+/// an engine running `cfg` whose clock for the job reads `now`. Rollups
+/// and per-model counters are summed; the job clock is the maximum of
+/// `now` and every watermark; streams are sorted by `(last_seen, rank,
+/// kind)` — deterministic, and oldest-first within every target shard's
+/// domain list.
+pub(crate) fn encode_job_slices(
+    job: JobId,
+    cfg: &EngineConfig,
+    now: u64,
+    slices: impl IntoIterator<Item = JobSlice>,
+) -> Vec<u8> {
+    let mut metrics = JobMetrics::default();
+    let mut models = Vec::new();
+    let mut clock = now;
+    let mut streams = Vec::new();
+    for slice in slices {
+        if let Some(jm) = slice.metrics {
+            metrics.merge(&jm);
+        }
+        models = merge_model_stats([models, slice.models]);
+        clock = clock.max(slice.watermark);
+        streams.extend(slice.streams);
+    }
+    streams.sort_unstable_by_key(|s| (s.last_seen, s.key.rank, s.key.kind.index()));
+    encode_job(&JobSnapshot {
+        job,
+        ttl: cfg.ttl,
+        dpd: cfg.dpd.clone(),
+        ensemble: cfg.ensemble.clone(),
+        clock,
+        metrics,
+        models,
+        streams,
+    })
+}
+
+/// The engine clock a restored job advances.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ClockFold {
+    /// Under a TTL: the job's own clock, to at least the snapshot's.
+    Job(u64),
+    /// Without one: the global clock, past every imported recency
+    /// stamp, so stamping stays monotone and LRU touch stays on its
+    /// O(1) fast path.
+    Global(u64),
+}
+
+/// A job snapshot decoded, checked against `cfg`, and partitioned for
+/// an engine of `cfg.shards` shards.
+#[derive(Debug)]
+pub(crate) struct JobRestore {
+    pub(crate) job: JobId,
+    /// The job's streams per target shard, each leg oldest-first.
+    pub(crate) legs: Vec<Vec<StreamState>>,
+    pub(crate) metrics: JobMetrics,
+    pub(crate) models: Vec<ModelStats>,
+    /// The job's clock at the cut: every target shard's watermark.
+    pub(crate) watermark: u64,
+    pub(crate) fold: ClockFold,
+}
+
+impl JobRestore {
+    /// Streams the restore installs.
+    pub(crate) fn installed(&self) -> usize {
+        self.legs.iter().map(Vec::len).sum()
+    }
+}
+
+/// Decodes a job-scoped snapshot, checks its TTL, DPD and ensemble
+/// parameters against `cfg` (shard counts may differ), and partitions
+/// its streams by `cfg`'s shard count.
+pub(crate) fn decode_job_for(
+    bytes: &[u8],
+    cfg: &EngineConfig,
+) -> Result<JobRestore, SnapshotError> {
+    let snap = decode_job(bytes)?;
+    check_config(
+        &ConfigKey {
+            shards: None,
+            ttl: snap.ttl,
+            dpd: &snap.dpd,
+            ensemble: &snap.ensemble,
+        },
+        &ConfigKey::of(cfg),
+    )?;
+    let mut legs = vec![Vec::new(); cfg.shards];
+    let mut max_seen = 0u64;
+    for s in snap.streams {
+        max_seen = max_seen.max(s.last_seen);
+        legs[shard_of(snap.job, s.key.rank, cfg.shards)].push(s);
+    }
+    Ok(JobRestore {
+        job: snap.job,
+        legs,
+        metrics: snap.metrics,
+        models: snap.models,
+        watermark: snap.clock,
+        fold: if cfg.ttl.is_some() {
+            ClockFold::Job(snap.clock)
+        } else {
+            ClockFold::Global(max_seen)
+        },
+    })
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`. The
 //! binary contains exactly this one test, so no concurrent test thread
-//! can pollute the counter. The scoped engine is driven inline
-//! (`parallel_threshold: usize::MAX`) because spawning scoped worker
-//! threads allocates by design; the persistent mode's per-batch channel
+//! can pollute the counter. The scoped engine runs every shard on the
+//! calling thread, so no setting is needed to keep thread spawns out of
+//! the count; the persistent mode's per-batch channel
 //! legs are pool-recycled but its query replies allocate per call —
 //! that path is documented as re-plan-rate, not event-rate, in the
 //! crate docs.
@@ -73,8 +73,6 @@ fn audit_steady_state(telemetry: bool) {
     let events = batch(32);
     let mut cfg = EngineConfig {
         shards: 2,
-        // Inline execution: scoped thread spawns allocate by design.
-        parallel_threshold: usize::MAX,
         // A TTL exercises the expiry arithmetic and the (empty) sweep
         // pops on the hot path; the streams stay fresh, so nothing is
         // ever actually reclaimed mid-measurement.

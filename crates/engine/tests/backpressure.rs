@@ -298,7 +298,6 @@ proptest! {
         let base = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };

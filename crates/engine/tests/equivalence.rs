@@ -47,7 +47,6 @@ proptest! {
             shards,
             dpd: cfg.clone(),
             // Exercise the threaded path even on small batches.
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         });
@@ -91,7 +90,6 @@ proptest! {
             let mut e = Engine::new(EngineConfig {
                 shards,
                 dpd: DpdConfig { window: 64, max_lag: 16, ..DpdConfig::default() },
-                parallel_threshold: 0,
                 ttl: None,
                 ..EngineConfig::default()
             });
@@ -129,7 +127,6 @@ proptest! {
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 32, max_lag: 8, ..DpdConfig::default() },
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };

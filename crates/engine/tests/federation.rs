@@ -84,7 +84,6 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd: dpd.clone(),
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };
@@ -198,7 +197,6 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
@@ -484,7 +482,6 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };

@@ -142,7 +142,6 @@ fn ttl_is_isolated_per_job_on_one_member() {
     let ecfg = EngineConfig {
         shards: 4,
         ttl: Some(TTL),
-        parallel_threshold: 0,
         ..EngineConfig::default()
     };
     let persistent = PersistentEngine::new(ecfg.clone());
@@ -204,6 +203,41 @@ fn ttl_is_isolated_per_job_on_one_member() {
     assert_eq!(scoped.predict(quiet_key, 1), None);
 }
 
+/// Both modes share one stamp rule: without a TTL, event `i` of a
+/// batch is stamped `base + i + 1`, so forced LRU eviction orders
+/// streams by their last event even inside one batch. One stamp per
+/// batch would tie rank 9 and rank 5, and the key tie-break would then
+/// evict rank 5.
+#[test]
+fn lru_order_within_one_batch_matches_between_modes() {
+    let cfg = EngineConfig::with_shards(1);
+    let persistent = PersistentEngine::new(cfg.clone());
+    let client = persistent.client();
+    let mut scoped = Engine::new(cfg);
+    let (old, new) = (
+        StreamKey::new(9, StreamKind::Sender),
+        StreamKey::new(5, StreamKind::Sender),
+    );
+    let batch = [Observation::new(old, 1), Observation::new(new, 1)];
+    client.observe_batch(&batch);
+    scoped.observe_batch(&batch);
+    assert_eq!(scoped.evict_lru(1), 1);
+    assert!(
+        !scoped.evict_stream(old),
+        "scoped: rank 9 is the LRU victim"
+    );
+    assert!(scoped.evict_stream(new), "scoped: rank 5 stays resident");
+    assert_eq!(client.evict_lru(1), 1);
+    assert!(
+        !client.evict_stream(old),
+        "persistent: rank 9 is the LRU victim"
+    );
+    assert!(
+        client.evict_stream(new),
+        "persistent: rank 5 stays resident"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -225,7 +259,6 @@ proptest! {
         let ecfg = EngineConfig {
             shards,
             dpd: cfg.clone(),
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };

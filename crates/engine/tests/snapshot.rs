@@ -66,7 +66,6 @@ proptest! {
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() },
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
@@ -205,7 +204,6 @@ proptest! {
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() },
-            parallel_threshold: 0,
             ensemble: EnsembleConfig { window, min_lead, ..EnsembleConfig::standard() },
             ..EngineConfig::default()
         };
@@ -275,7 +273,6 @@ fn trained_engine() -> (Engine, Vec<u8>) {
     let mut engine = Engine::new(EngineConfig {
         shards: 2,
         ttl: Some(100),
-        parallel_threshold: 0,
         ..EngineConfig::default()
     });
     let batch: Vec<Observation> = (0..60)

@@ -377,6 +377,36 @@ fn retention_prunes_stale_artifacts_without_losing_state() {
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A log that lost a write is not durable, and says so for good: with
+/// the first segment routed to a full device every append to it fails
+/// (ENOSPC), so `sync_wal` reports failure — even after later appends
+/// land in a fresh segment — and `checkpoint` refuses to write a
+/// snapshot or retire a segment past the hole.
+#[cfg(target_os = "linux")]
+#[test]
+fn lost_appends_fail_the_barrier_and_the_checkpoint() {
+    let dir = tmp("enospc");
+    let engine = PersistentEngine::new(
+        EngineConfig::with_shards(2).with_durability(DurabilityConfig::new(&dir)),
+    );
+    // The writer creates its first segment on the first append.
+    std::os::unix::fs::symlink("/dev/full", dir.join(mpp_engine::oplog::segment_name(0)))
+        .expect("symlink the first segment to /dev/full");
+    let client = engine.client();
+    for chunk in workload(4 * BATCH).chunks(BATCH) {
+        client.observe_batch(chunk);
+    }
+    assert!(!engine.sync_wal(), "a log with a hole is not durable");
+    assert!(!engine.sync_wal(), "the first I/O error is sticky");
+    let before = segments(&dir);
+    assert!(client.checkpoint().is_err(), "checkpoint on a hole");
+    assert!(snapshots(&dir).is_empty(), "no snapshot was written");
+    assert_eq!(segments(&dir), before, "no segment was retired");
+    drop(client);
+    drop(engine);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// Federated recovery: per-member logs rebuild every member, and the
 /// persisted pin table restores routing — a job migrated before the
 /// crash is still served by its new member afterwards, with its

@@ -15,7 +15,7 @@
 //! is replayed (the Table 1 set), giving an engine-level summary of the
 //! paper's central claim: these streams are predictable enough to serve.
 //! `--mode` selects the persistent-worker engine (default) or the
-//! scoped per-batch-thread engine; `--ttl N` evicts streams idle for
+//! single-threaded scoped engine; `--ttl N` evicts streams idle for
 //! more than `N` engine-time events. `--queue-cap N` bounds each
 //! persistent shard's observe lane to `N` queued commands and
 //! `--backpressure` picks the full-lane policy: `block` (default,

@@ -27,7 +27,7 @@ pub const REBALANCE_EVERY: usize = 2;
 pub enum EngineMode {
     /// Persistent shard workers behind channels (the default).
     Persistent,
-    /// Scoped per-batch worker threads.
+    /// The single-threaded scoped engine.
     Scoped,
 }
 
